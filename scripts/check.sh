@@ -2,6 +2,7 @@
 # Repo health check: tier-1 tests, warning-clean bytecode compilation,
 # static analysis, smoke runs of the fault-tolerant ingestion
 # benchmark and observability stack, durable-store recovery, a
+# columnar-transfer smoke (serial and --jobs 2 stores byte-identical), a
 # supervised-parallel chaos smoke (hang + worker crash), the perf
 # sentinel, a serve lifecycle smoke (admission, shedding, drain,
 # kill -9 recovery), and a client-chaos smoke (repro remote against a
@@ -151,6 +152,34 @@ assert tk.to_json() == baseline, "resumed thicket differs from from-scratch"
 print(f"interrupted ingest resumed {report.n_resumed} profile(s), "
       f"re-read {len(campaign) - report.n_resumed}, thicket identical")
 PY
+
+echo "== columnar transfer smoke (serial store == --jobs 2 store) =="
+# Workers send typed columns back to the parent.  A sparse campaign over
+# three trees (Sequential, OpenMP, CUDA: NaN cells, int and str
+# metadata) must save to byte-identical stores serially and with two
+# workers, and both stores must validate.
+XFER_DIR="$STORE_DIR/xfer"
+python - "$XFER_DIR/campaign" <<'PY'
+import sys
+
+from repro.workloads import RAJA_CAMPAIGN, write_raja_campaign
+
+write_raja_campaign(sys.argv[1],
+                    (RAJA_CAMPAIGN[0], RAJA_CAMPAIGN[2], RAJA_CAMPAIGN[4]),
+                    scale=0.1,
+                    kernels=["Apps_VOL3D", "Lcals_HYDRO_1D", "Stream_DOT"])
+PY
+python -m repro ingest "$XFER_DIR/campaign" \
+    --save "$XFER_DIR/serial.json" >/dev/null
+python -m repro ingest "$XFER_DIR/campaign" --jobs 2 \
+    --save "$XFER_DIR/parallel.json" >/dev/null
+if ! cmp -s "$XFER_DIR/serial.json" "$XFER_DIR/parallel.json"; then
+    echo "FAIL: --jobs 2 store differs from the serial store" >&2
+    exit 1
+fi
+python -m repro validate "$XFER_DIR/serial.json" >/dev/null
+python -m repro validate "$XFER_DIR/parallel.json" >/dev/null
+echo "serial and --jobs 2 stores byte-identical, both validate"
 
 echo "== chaos smoke (supervised parallel ingest) =="
 # Inject one hang and one worker crash into a small campaign, run a

@@ -900,14 +900,15 @@ def build_parser() -> argparse.ArgumentParser:
         pp.set_defaults(fn=fn)
         return pp
 
-    def add_perf_workload(pp):
+    def add_perf_workload(pp, repeats=1):
         pp.add_argument("--work-dir", dest="work_dir", default=None,
                         metavar="DIR",
                         help="workload scratch directory (default: "
                              "<store>/workload; profiles are generated "
                              "once and reused)")
-        pp.add_argument("--repeats", type=int, default=1, metavar="N",
-                        help="workload passes per run (default 1)")
+        pp.add_argument("--repeats", type=int, default=repeats,
+                        metavar="N",
+                        help=f"workload passes per run (default {repeats})")
         pp.add_argument("--scale", type=float, default=None, metavar="S",
                         help="campaign scale factor (default 0.1)")
         pp.add_argument("--label", default=None,
@@ -948,7 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp = add_perf("check", _cmd_perf_check,
                   "run the workload fresh and exit 6 if it regressed "
                   "vs the stored baseline")
-    add_perf_workload(pp)
+    # several candidate passes give every node a Welch's t p-value, so
+    # a one-off stall in one pass is weighed, not alerted on outright
+    add_perf_workload(pp, repeats=3)
     add_perf_policy(pp)
     pp.add_argument("--record", action="store_true",
                     help="append the candidate to the history when it "

@@ -21,6 +21,9 @@ Legacy ``repro-thicket-v1`` files (no checksum, flat layout) still
 load; saving always produces v2.  The payload layout itself is
 unchanged: the call graph as a nested literal, node-indexed tables
 with positional node references, and the metadata table verbatim.
+Table rows are built from whole columns and read back with one
+transpose (:func:`columns_to_rows` / :func:`rows_to_columns`), a pair
+the ingest checkpoint payloads share.
 """
 
 from __future__ import annotations
@@ -37,18 +40,67 @@ from ..graph import Graph
 from ..ioutil import atomic_write_text, canonical_json, sha256_of
 
 __all__ = ["thicket_to_json", "thicket_from_json", "save_thicket",
-           "load_thicket", "FORMAT_V1", "FORMAT_V2"]
+           "load_thicket", "columns_to_rows", "rows_to_columns", "jsonable",
+           "FORMAT_V1", "FORMAT_V2"]
 
 FORMAT_V1 = "repro-thicket-v1"
 FORMAT_V2 = "repro-thicket-v2"
 
 
-def _jsonable(v: Any) -> Any:
+def jsonable(v: Any) -> Any:
+    """One cell as a JSON value: numpy scalars unwrapped, NaN as null."""
     if hasattr(v, "item"):
         v = v.item()
     if isinstance(v, float) and np.isnan(v):
         return None
     return v
+
+
+def columns_to_rows(df: DataFrame) -> list:
+    """*df*'s cells as row-major rows, built from whole columns.  The
+    rows are tuples; JSON encodes them as arrays.
+
+    Numeric columns convert with one ``tolist()`` each, NaN cells
+    becoming ``null`` only where a float column holds NaN; object
+    columns are the only ones converted cell by cell.  One transpose
+    then yields the rows.  Inverse: :func:`rows_to_columns`.
+    """
+    cols = []
+    for c in df.columns:
+        arr = df.column(c)
+        if arr.dtype == object:
+            cols.append([jsonable(v) for v in arr])
+            continue
+        values = arr.tolist()
+        if arr.dtype.kind == "f":
+            for i in np.flatnonzero(np.isnan(arr)).tolist():
+                values[i] = None
+        cols.append(values)
+    if not cols:
+        return [() for _ in range(len(df))]
+    return list(zip(*cols))
+
+
+def rows_to_columns(rows: list, columns: list, float_columns) -> dict:
+    """Column → values from :func:`columns_to_rows` output.
+
+    The rows are transposed once.  Columns in *float_columns* come back
+    as ``float64`` arrays with ``null`` restored to NaN; the rest stay
+    value lists for the frame layer's type inference (v1 stores carry
+    no float marks and rely on it).  Rows that do not hold one cell per
+    column raise :class:`CorruptStoreError`.
+    """
+    try:
+        values = (list(zip(*rows, strict=True)) if rows
+                  else [()] * len(columns))
+    except ValueError as e:
+        raise CorruptStoreError(f"table rows are ragged: {e}",
+                                stage="load") from e
+    if len(values) != len(columns):
+        raise CorruptStoreError(f"table rows hold {len(values)} cells, "
+                                f"expected {len(columns)}", stage="load")
+    return {c: np.array(v, dtype=np.float64) if c in float_columns
+            else list(v) for c, v in zip(columns, values)}
 
 
 def _encode_key(c: Any) -> Any:
@@ -64,19 +116,12 @@ def _float_columns(df: DataFrame) -> list:
             if df.column(c).dtype.kind == "f"]
 
 
-def _decode_columns(table: dict, cols: list) -> dict:
-    """Column → value list, with ``null`` restored to ``np.nan`` in the
-    columns the store marked as floats (v2; v1 has no marks and relies
-    on mixed-value inference in the frame layer)."""
+def _table_columns(table: dict) -> dict:
+    """A stored table's ``data`` as column → values, in column order
+    (see :func:`rows_to_columns`)."""
+    cols = [_decode_key(c) for c in table["columns"]]
     float_cols = {_decode_key(c) for c in table.get("float_columns", [])}
-    data = table["data"]
-    out = {}
-    for j, c in enumerate(cols):
-        values = [row[j] for row in data]
-        if c in float_cols:
-            values = [np.nan if v is None else float(v) for v in values]
-        out[c] = values
-    return out
+    return rows_to_columns(table["data"], cols, float_cols)
 
 
 def thicket_to_payload(tk) -> dict:
@@ -86,40 +131,29 @@ def thicket_to_payload(tk) -> dict:
     perf = {
         "columns": [_encode_key(c) for c in tk.dataframe.columns],
         "float_columns": _float_columns(tk.dataframe),
-        "index": [[node_pos[t[0]], _jsonable(t[1])]
+        "index": [[node_pos[t[0]], jsonable(t[1])]
                   for t in tk.dataframe.index.values],
         "index_names": list(tk.dataframe.index.names),
-        "data": [
-            [_jsonable(tk.dataframe.column(c)[i])
-             for c in tk.dataframe.columns]
-            for i in range(len(tk.dataframe))
-        ],
+        "data": columns_to_rows(tk.dataframe),
     }
     meta = {
         "columns": [_encode_key(c) for c in tk.metadata.columns],
         "float_columns": _float_columns(tk.metadata),
-        "index": [_jsonable(p) for p in tk.metadata.index.values],
-        "data": [
-            [_jsonable(tk.metadata.column(c)[i]) for c in tk.metadata.columns]
-            for i in range(len(tk.metadata))
-        ],
+        "index": [jsonable(p) for p in tk.metadata.index.values],
+        "data": columns_to_rows(tk.metadata),
     }
-    stats_cols = [c for c in tk.statsframe.columns]
     stats = {
-        "columns": [_encode_key(c) for c in stats_cols],
+        "columns": [_encode_key(c) for c in tk.statsframe.columns],
         "float_columns": _float_columns(tk.statsframe),
         "index": [node_pos[n] for n in tk.statsframe.index.values],
-        "data": [
-            [_jsonable(tk.statsframe.column(c)[i]) for c in stats_cols]
-            for i in range(len(tk.statsframe))
-        ],
+        "data": columns_to_rows(tk.statsframe),
     }
     return {
         "graph": tk.graph.to_literal(),
         "performance_data": perf,
         "metadata": meta,
         "statsframe": stats,
-        "profiles": [_jsonable(p) for p in tk.profile],
+        "profiles": [jsonable(p) for p in tk.profile],
         "exc_metrics": [_encode_key(m) for m in tk.exc_metrics],
         "inc_metrics": [_encode_key(m) for m in tk.inc_metrics],
         "default_metric": _encode_key(tk.default_metric)
@@ -131,14 +165,13 @@ def thicket_to_json(tk) -> str:
     """Serialize a Thicket to a v2 JSON document (envelope + checksum).
 
     The serialization is deterministic: save → load → save produces
-    byte-identical output.
+    byte-identical output.  The payload is encoded once; its text is
+    both hashed and spliced into the envelope, which is exactly
+    ``canonical_json`` of ``{"checksum", "format", "payload"}``.
     """
-    payload = thicket_to_payload(tk)
-    return json.dumps(
-        {"format": FORMAT_V2,
-         "checksum": sha256_of(canonical_json(payload)),
-         "payload": payload},
-        separators=(",", ":"), sort_keys=True)
+    body = canonical_json(thicket_to_payload(tk))
+    return '{"checksum":%s,"format":%s,"payload":%s}' % (
+        canonical_json(sha256_of(body)), canonical_json(FORMAT_V2), body)
 
 
 def _payload_to_thicket(payload: dict):
@@ -148,26 +181,20 @@ def _payload_to_thicket(payload: dict):
     nodes = graph.node_order()
 
     perf_p = payload["performance_data"]
-    perf_cols = [_decode_key(c) for c in perf_p["columns"]]
     perf_index = MultiIndex(
         [(nodes[i], pid) for i, pid in perf_p["index"]],
         names=perf_p["index_names"],
     )
-    perf = DataFrame(_decode_columns(perf_p, perf_cols),
-                     index=perf_index, columns=perf_cols)
+    perf = DataFrame(_table_columns(perf_p), index=perf_index)
 
     meta_p = payload["metadata"]
-    meta_cols = [_decode_key(c) for c in meta_p["columns"]]
-    metadata = DataFrame(_decode_columns(meta_p, meta_cols),
-                         index=Index(meta_p["index"], name="profile"),
-                         columns=meta_cols)
+    metadata = DataFrame(_table_columns(meta_p),
+                         index=Index(meta_p["index"], name="profile"))
 
     stats_p = payload["statsframe"]
-    stats_cols = [_decode_key(c) for c in stats_p["columns"]]
-    statsframe = DataFrame(_decode_columns(stats_p, stats_cols),
+    statsframe = DataFrame(_table_columns(stats_p),
                            index=Index([nodes[i] for i in stats_p["index"]],
-                                       name="node"),
-                           columns=stats_cols)
+                                       name="node"))
 
     default = payload.get("default_metric")
     return Thicket(
@@ -221,8 +248,6 @@ def thicket_from_json(text: str, source: Any = None):
 
     try:
         return _payload_to_thicket(payload)
-    except CorruptStoreError:
-        raise
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise CorruptStoreError(
             f"store payload is structurally invalid: "

@@ -71,31 +71,30 @@ def coerce_column(values: Any, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _value_kind(t: type) -> str:
+    """Inference kind of the values of type *t*."""
+    if t is type(None):
+        return "none"
+    if issubclass(t, (bool, np.bool_)):
+        return "bool"
+    if issubclass(t, (int, np.integer)):
+        return "int"
+    if issubclass(t, (float, np.floating)):
+        return "float"
+    return "object"
+
+
 def _infer_array(values: list) -> np.ndarray:
-    kinds = set()
-    for v in values:
-        if v is None:
-            kinds.add("none")
-        elif isinstance(v, (bool, np.bool_)):
-            kinds.add("bool")
-        elif isinstance(v, (int, np.integer)):
-            kinds.add("int")
-        elif isinstance(v, (float, np.floating)):
-            kinds.add("float")
-        else:
-            kinds.add("object")
+    # classify each distinct value type once, not every value
+    kinds = {_value_kind(t) for t in set(map(type, values))}
     if kinds <= {"bool"}:
         return np.asarray(values, dtype=bool)
     if kinds <= {"int"}:
         return np.asarray(values, dtype=np.int64)
     if kinds <= {"int", "float", "bool", "none"} and kinds & {"float", "int"}:
-        return np.asarray(
-            [np.nan if v is None else float(v) for v in values], dtype=np.float64
-        )
-    arr = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        arr[i] = v
-    return arr
+        return np.array(values, dtype=np.float64)  # None becomes NaN
+    # fromiter stores each value as is; np.array would unpack tuples
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def numeric_values(values: np.ndarray, drop_missing: bool = True,

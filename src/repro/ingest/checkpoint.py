@@ -33,12 +33,13 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
+from ..core.io import columns_to_rows, jsonable, rows_to_columns
 from ..errors import PersistenceError
-from ..graph import GraphFrame
+from ..frame import DataFrame, Index
+from ..graph import Graph, GraphFrame
 from ..ioutil import atomic_write_text, canonical_json, crc32_of, fsync_path
 from ..obs import counter as obs_counter
 from ..obs import span as obs_span
@@ -52,37 +53,66 @@ logger = logging.getLogger("repro.ingest.checkpoint")
 
 
 # ----------------------------------------------------------------------
-# GraphFrame <-> JSON payload
+# GraphFrame <-> typed columns <-> JSON payload
 # ----------------------------------------------------------------------
 
-def _jsonable(v: Any) -> Any:
-    if hasattr(v, "item"):
-        v = v.item()
-    if isinstance(v, float) and np.isnan(v):
-        return None
-    return v
+def _gf_to_columns(gf: GraphFrame) -> dict:
+    """A built GraphFrame as typed whole columns (picklable).
 
-
-def _gf_to_payload(gf: GraphFrame) -> dict:
-    """Serialize a built GraphFrame losslessly.
-
-    Same positional-node-reference idiom as the thicket store: the
-    graph as a nested literal, the node-indexed table with pre-order
-    node positions, and explicit float-column marks so NaN cells
-    (stored as ``null``) round-trip as ``np.nan``.
+    This is what a parallel-ingest worker sends its parent: the graph
+    as a nested literal, each row's pre-order node position as one int
+    array, every column's numpy array as built, and the metadata as
+    built.  :func:`_columns_to_gf` rebuilds the frame from the arrays
+    without re-inferring a dtype or converting a single cell.
     """
     node_pos = {n: i for i, n in enumerate(gf.graph.node_order())}
     df = gf.dataframe
     return {
-        "format": PAYLOAD_FORMAT,
         "graph": gf.graph.to_literal(),
-        "rows": [node_pos[n] for n in df.index.values],
+        "rows": np.fromiter((node_pos[n] for n in df.index.values),
+                            dtype=np.int64, count=len(df)),
+        "columns": {c: df.column(c) for c in df.columns},
+        "metadata": gf.metadata,
+        "exc_metrics": gf.exc_metrics,
+        "inc_metrics": gf.inc_metrics,
+        "default_metric": gf.default_metric,
+    }
+
+
+def _columns_to_gf(cols: dict) -> GraphFrame:
+    """Inverse of :func:`_gf_to_columns`."""
+    graph = Graph.from_literal(cols["graph"])
+    nodes = graph.node_order()
+    df = DataFrame(cols["columns"],
+                   index=Index([nodes[i] for i in cols["rows"]],
+                               name="node"))
+    return GraphFrame(graph, df, metadata=cols["metadata"],
+                      exc_metrics=cols["exc_metrics"],
+                      inc_metrics=cols["inc_metrics"],
+                      default_metric=cols["default_metric"])
+
+
+def _gf_to_payload(gf: GraphFrame) -> dict:
+    """Serialize a built GraphFrame losslessly as JSON-ready data.
+
+    Same positional-node-reference idiom as the thicket store: the
+    graph as a nested literal, the node-indexed table with pre-order
+    node positions, and explicit float-column marks so NaN cells
+    (stored as ``null``) round-trip as ``np.nan``.  The table goes
+    through the store's row/column codec
+    (:func:`repro.core.io.columns_to_rows`).
+    """
+    cols = _gf_to_columns(gf)
+    df = gf.dataframe
+    return {
+        "format": PAYLOAD_FORMAT,
+        "graph": cols["graph"],
+        "rows": cols["rows"].tolist(),
         "columns": list(df.columns),
-        "float_columns": [c for c in df.columns
-                          if df.column(c).dtype.kind == "f"],
-        "data": [[_jsonable(df.column(c)[i]) for c in df.columns]
-                 for i in range(len(df))],
-        "metadata": {str(k): _jsonable(v) for k, v in gf.metadata.items()},
+        "float_columns": [c for c, arr in cols["columns"].items()
+                          if arr.dtype.kind == "f"],
+        "data": columns_to_rows(df),
+        "metadata": {str(k): jsonable(v) for k, v in gf.metadata.items()},
         "exc_metrics": list(gf.exc_metrics),
         "inc_metrics": list(gf.inc_metrics),
         "default_metric": gf.default_metric,
@@ -90,32 +120,20 @@ def _gf_to_payload(gf: GraphFrame) -> dict:
 
 
 def _payload_to_gf(payload: dict) -> GraphFrame:
-    from ..frame import DataFrame, Index
-    from ..graph import Graph
-
     if payload.get("format") != PAYLOAD_FORMAT:
         raise PersistenceError(
             f"not a checkpoint GraphFrame payload "
             f"(format={payload.get('format')!r})", stage="journal")
-    graph = Graph.from_literal(payload["graph"])
-    nodes = graph.node_order()
-    columns = payload["columns"]
-    float_cols = set(payload.get("float_columns", []))
-    data = payload["data"]
-    cols = {}
-    for j, c in enumerate(columns):
-        values = [row[j] for row in data]
-        if c in float_cols:
-            values = [np.nan if v is None else float(v) for v in values]
-        cols[c] = values
-    df = DataFrame(cols,
-                   index=Index([nodes[i] for i in payload["rows"]],
-                               name="node"),
-                   columns=columns)
-    return GraphFrame(graph, df, metadata=dict(payload.get("metadata", {})),
-                      exc_metrics=list(payload.get("exc_metrics", [])),
-                      inc_metrics=list(payload.get("inc_metrics", [])),
-                      default_metric=payload.get("default_metric"))
+    return _columns_to_gf({
+        "graph": payload["graph"],
+        "rows": payload["rows"],
+        "columns": rows_to_columns(payload["data"], payload["columns"],
+                                   set(payload.get("float_columns", []))),
+        "metadata": payload.get("metadata", {}),
+        "exc_metrics": payload.get("exc_metrics", []),
+        "inc_metrics": payload.get("inc_metrics", []),
+        "default_metric": payload.get("default_metric"),
+    })
 
 
 # ----------------------------------------------------------------------

@@ -168,14 +168,16 @@ def _trip_fault(payload: Any, source: str, sleep) -> Any:
 def _parallel_ingest_task(spec: tuple[str, bool]) -> dict:
     """Run one profile path through read → validate → build in a worker.
 
-    Returns the GraphFrame serialized as a checkpoint payload dict
-    (:func:`repro.ingest.checkpoint._gf_to_payload`) — a picklable,
-    losslessly round-trippable form — rather than the GraphFrame
-    itself, so parallel composition is byte-identical to serial.
-    Transient I/O errors are re-raised as ``ReaderError`` with
-    ``transient=True``; the supervisor owns the retry/backoff budget.
+    Returns the built GraphFrame as typed whole columns
+    (:func:`repro.ingest.checkpoint._gf_to_columns`): the numpy column
+    arrays, an int array of node positions, the graph literal and the
+    metadata as built.  They cross the pipe as pickled buffers and the
+    parent rebuilds the frame without converting a cell, so parallel
+    composition is byte-identical to serial.  Transient I/O errors are
+    re-raised as ``ReaderError`` with ``transient=True``; the
+    supervisor owns the retry/backoff budget.
     """
-    from .checkpoint import _gf_to_payload
+    from .checkpoint import _gf_to_columns
 
     path_str, validate = spec
     path = Path(path_str)
@@ -207,7 +209,7 @@ def _parallel_ingest_task(spec: tuple[str, bool]) -> dict:
             f"{type(e).__name__}: {e}", source=path_str,
             stage="build") from e
     gf.metadata.setdefault("profile.file", path_str)
-    return _gf_to_payload(gf)
+    return _gf_to_columns(gf)
 
 
 def _read_with_retry(path: Path, max_retries: int, base_delay: float,
@@ -454,7 +456,7 @@ def _load_parallel(tasks, policy: ResiliencePolicy, validate: bool,
     ``strict`` the lowest-index error is raised — after every outcome
     has been journaled, so a checkpointed re-run still resumes.
     """
-    from .checkpoint import _payload_to_gf
+    from .checkpoint import _columns_to_gf
 
     paths = [path for _, path in tasks]
     executor = SupervisedExecutor(
@@ -470,7 +472,7 @@ def _load_parallel(tasks, policy: ResiliencePolicy, validate: bool,
     first_error: ReproError | None = None
     for (idx, source), outcome in zip(tasks, outcomes):
         if outcome.ok:
-            gf = _payload_to_gf(outcome.value)
+            gf = _columns_to_gf(outcome.value)
             if ckpt is not None:
                 with _timed(timings, "checkpoint"), crit(), \
                         obs_span("ingest.checkpoint.record",

@@ -34,6 +34,8 @@ __all__ = ["validate_cali_payload", "REQUIRED_SECTIONS"]
 
 REQUIRED_SECTIONS = ("nodes", "columns", "data")
 
+_PLAIN_NUMBERS = (float, int)
+
 
 def _fail(message: str, source: Any) -> None:
     raise SchemaError(message, source=source)
@@ -93,12 +95,8 @@ def validate_cali_payload(payload: Any, source: Any = None) -> None:
     except ValueError:
         path_pos = 0
 
-    def is_value_col(j: int) -> bool:
-        if j == path_pos:
-            return False
-        if col_meta is None:
-            return True
-        return bool(col_meta[j].get("is_value", True))
+    value_cols = [j for j in range(len(columns)) if j != path_pos and (
+        col_meta is None or bool(col_meta[j].get("is_value", True)))]
 
     seen_nodes: set[int] = set()
     for r, row in enumerate(data):
@@ -119,10 +117,11 @@ def validate_cali_payload(payload: Any, source: Any = None) -> None:
                 _fail(f"data row {r} duplicates node id {nid} — a node "
                       f"may appear at most once per profile", source)
             seen_nodes.add(nid)
-        for j, cell in enumerate(row):
-            if j == path_pos or not is_value_col(j):
-                continue
-            if cell is None or isinstance(cell, numbers.Number):
+        for j in value_cols:
+            cell = row[j]
+            # the exact-type test spares the common cells an ABC check
+            if cell is None or type(cell) in _PLAIN_NUMBERS \
+                    or isinstance(cell, numbers.Number):
                 continue  # NaN/inf floats included: handled by NaN-aware stats
             _fail(f"data row {r}, column {columns[j]!r}: metric cell must "
                   f"be numeric or null, got {cell!r}", source)

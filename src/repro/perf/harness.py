@@ -19,6 +19,7 @@ runs to stage a reproducible regression.
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -99,6 +100,14 @@ def workload_roots(work_dir: "str | Path", repeats: int = 1,
     the one-off costs — imports, profile generation, allocator warm-up
     — that would otherwise make the first recorded run of a process
     look slower than every later one and poison the baseline.
+
+    Like :mod:`timeit`, each timed pass runs with the cyclic garbage
+    collector off, after a full collection: a collection pass costs
+    time in proportion to the whole heap of the host process, not to
+    the workload, and wherever one lands it reads as a slowdown of the
+    node it interrupted.  Reference counting still frees everything
+    that is not in a cycle, and the collector is restored after the
+    pass.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
@@ -115,8 +124,21 @@ def workload_roots(work_dir: "str | Path", repeats: int = 1,
     before = len(t.finished_spans())
     try:
         for _ in range(repeats):
-            run_campaign_workload(work_dir, scale=scale)
+            _run_without_gc(work_dir, scale)
     finally:
         if not was_enabled:
             t.disable()
     return t.finished_spans()[before:]
+
+
+def _run_without_gc(work_dir: "str | Path", scale: float) -> None:
+    """One workload pass with the cyclic collector off (see
+    :func:`workload_roots`); the collector's prior state is restored."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_campaign_workload(work_dir, scale=scale)
+    finally:
+        if was_enabled:
+            gc.enable()

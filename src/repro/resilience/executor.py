@@ -34,6 +34,7 @@ available so test seams (monkeypatched module globals) propagate.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import random
 import threading
@@ -164,6 +165,47 @@ def _worker_main(conn, fn: Callable[[Any], Any], heartbeat,
     finally:
         stop.set()
         conn.close()
+
+
+class _Pending:
+    """Tasks awaiting dispatch; the lowest eligible ``(index, attempt)``
+    goes first.
+
+    Fresh tasks and due retries wait in a ready heap keyed
+    ``(index, attempt)``; retries still backing off wait in a second
+    heap keyed ``not_before`` until :meth:`peek` releases them.  Every
+    operation is O(log n), so dispatching a whole campaign stays
+    O(n log n).
+    """
+
+    __slots__ = ("ready", "backoff")
+
+    def __init__(self, n: int):
+        # a sorted list is already a heap
+        self.ready: list[tuple[int, int]] = [(i, 0) for i in range(n)]
+        self.backoff: list[tuple[float, int, int]] = []
+
+    def retry(self, not_before: float, index: int, attempt: int) -> None:
+        """Queue *attempt* of task *index*, eligible from *not_before*."""
+        heapq.heappush(self.backoff, (not_before, index, attempt))
+
+    def peek(self, now: float) -> tuple[int, int] | None:
+        """The lowest task eligible at *now*, left queued; ``None`` if
+        every pending task is still backing off (or none is left)."""
+        while self.backoff and self.backoff[0][0] <= now:
+            _not_before, index, attempt = heapq.heappop(self.backoff)
+            heapq.heappush(self.ready, (index, attempt))
+        return self.ready[0] if self.ready else None
+
+    def pop(self) -> None:
+        """Drop the task :meth:`peek` returned."""
+        heapq.heappop(self.ready)
+
+    def drain(self) -> list[tuple[int, int]]:
+        """Remove and return every pending ``(index, attempt)``."""
+        out = self.ready + [(i, a) for _nb, i, a in self.backoff]
+        self.ready, self.backoff = [], []
+        return out
 
 
 class _Worker:
@@ -337,10 +379,7 @@ class SupervisedExecutor:
         ctx = _mp_context()
         n = len(items)
         jobs = min(policy.jobs, n) or 1
-        # (not_before, index, attempt): retries re-enter with a backoff
-        # not_before; dispatch always picks the lowest eligible index
-        pending: list[tuple[float, int, int]] = [
-            (0.0, i, 0) for i in range(n)]
+        pending = _Pending(n)
         started: dict[int, float] = {}    # index -> first-dispatch stamp
         done: dict[int, TaskOutcome] = {}
         workers: list[_Worker] = []
@@ -366,15 +405,14 @@ class SupervisedExecutor:
                   started, jobs, now) -> None:
         """Assign eligible pending tasks to idle (spawning) workers."""
         while True:
-            eligible = [t for t in pending if t[0] <= now]
-            if not eligible:
+            task = pending.peek(now)
+            if task is None:
                 return
-            not_before, index, attempt = min(eligible,
-                                             key=lambda t: (t[1], t[2]))
+            index, attempt = task
             key = keys[index]
             bkey = self.breaker_key(key)
             if not self.breaker.allow(bkey):
-                pending.remove((not_before, index, attempt))
+                pending.pop()
                 done[index] = self._breaker_outcome(index, key, bkey)
                 continue
             idle = next((w for w in workers if w.busy is None), None)
@@ -394,13 +432,13 @@ class SupervisedExecutor:
             idle.busy = (index, attempt)
             idle.dispatched_at = now
             started.setdefault(index, now)
-            pending.remove((not_before, index, attempt))
+            pending.pop()
 
     def _collect(self, pending, workers, done, keys, started, now) -> None:
         """Wait briefly for results and fold them into ``done``."""
         busy = [w for w in workers if w.busy is not None]
         if not busy:
-            if any(t[0] > now for t in pending):
+            if pending.backoff:
                 self.sleep(_TICK)  # all pending tasks backing off
             return
         conns = {w.conn: w for w in busy}
@@ -436,7 +474,7 @@ class SupervisedExecutor:
                     attempt < self.policy.max_retries:
                 obs_counter("exec.retries")
                 delay = self.policy.delay_for(attempt, self.rng)
-                pending.append((self.clock() + delay, index, attempt + 1))
+                pending.retry(self.clock() + delay, index, attempt + 1)
                 continue
             self.breaker.record_failure(bkey)
             obs_counter("exec.errors")
@@ -496,7 +534,7 @@ class SupervisedExecutor:
                 attempt < self.policy.max_retries:
             obs_counter("exec.retries")
             delay = self.policy.delay_for(attempt, self.rng)
-            pending.append((now + delay, index, attempt + 1))
+            pending.retry(now + delay, index, attempt + 1)
             return
         self.breaker.record_failure(bkey)
         done[index] = TaskOutcome(index, key, status, error=error,
@@ -505,10 +543,9 @@ class SupervisedExecutor:
     def _fail_remaining(self, pending, workers, done, keys, started,
                         now) -> None:
         """Run deadline blown: quarantine everything still outstanding."""
-        for _not_before, index, attempt in pending:
+        for index, attempt in pending.drain():
             done[index] = self._deadline_outcome(index, keys[index],
                                                  attempts=attempt + 1)
-        pending.clear()
         for worker in list(workers):
             if worker.busy is None:
                 continue

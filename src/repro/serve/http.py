@@ -7,6 +7,9 @@ client key, JSON body) and hands it to
 supervision, degradation, and the exception→JSON mapping.  The only
 logic living here is transport logic:
 
+* the listen backlog is :data:`LISTEN_BACKLOG`, not the stdlib's 5, so
+  a burst of concurrent connects queues instead of being dropped or
+  reset while the accept loop is behind;
 * request bodies are size-capped (``max_body_bytes``) before parsing;
 * the client key comes from the ``X-Client-Id`` header when present,
   else the peer address — the unit the per-client breaker trips on;
@@ -34,9 +37,22 @@ from ..obs import counter as obs_counter
 from ..resilience import SignalGuard
 from .service import AnalysisService, error_payload
 
-__all__ = ["ReproServer", "make_handler"]
+__all__ = ["ReproServer", "ReproHTTPServer", "make_handler",
+           "LISTEN_BACKLOG"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: listen(2) backlog.  ``socketserver`` defaults to 5: a burst of more
+#: concurrent connects than that, arriving while the accept loop is
+#: behind, overflows the queue and clients see a SYN retransmit (~1 s)
+#: or a reset connection.
+LISTEN_BACKLOG = 128
+
+
+class ReproHTTPServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` with a :data:`LISTEN_BACKLOG` backlog."""
+
+    request_queue_size = LISTEN_BACKLOG
 
 
 def make_handler(service: AnalysisService,
@@ -142,7 +158,7 @@ class ReproServer:
                 f"drain_deadline must be >= 0, got {drain_deadline}")
         self.service = service
         self.drain_deadline = float(drain_deadline)
-        self.httpd = ThreadingHTTPServer(
+        self.httpd = ReproHTTPServer(
             (host, port), make_handler(service, max_body_bytes))
         self.httpd.daemon_threads = True
         self._serve_thread: threading.Thread | None = None

@@ -140,6 +140,18 @@ class TestSchemaValidation:
         payload["data"][1][1] = float("inf")
         validate_cali_payload(payload)  # must not raise
 
+    def test_only_value_columns_need_numeric_cells(self):
+        payload = valid_payload()
+        payload["columns"].append("note")
+        payload["column_metadata"].append({"is_value": False})
+        for row, cell in zip(payload["data"], (np.float32(0.5), True)):
+            row[1] = cell             # numpy and bool numbers pass
+            row.append("free text")   # not a metric column
+        validate_cali_payload(payload)  # must not raise
+        payload["column_metadata"][2] = {"is_value": True}
+        with pytest.raises(SchemaError, match="row 0, column 'note'"):
+            validate_cali_payload(payload)
+
 
 class TestErrorPolicies:
     @pytest.fixture

@@ -126,3 +126,53 @@ def test_reindex_preserves_present_rows(labels):
         original = df.column("v")[df.index.get_loc(lbl)]
         got = out.column("v")[out.index.get_loc(lbl)]
         assert float(got) == float(original)
+
+
+def _infer_reference(values):
+    """The per-value type inference ``coerce_column`` was written with."""
+    kinds = set()
+    for v in values:
+        if v is None:
+            kinds.add("none")
+        elif isinstance(v, (bool, np.bool_)):
+            kinds.add("bool")
+        elif isinstance(v, (int, np.integer)):
+            kinds.add("int")
+        elif isinstance(v, (float, np.floating)):
+            kinds.add("float")
+        else:
+            kinds.add("object")
+    if kinds <= {"bool"}:
+        return np.asarray(values, dtype=bool)
+    if kinds <= {"int"}:
+        return np.asarray(values, dtype=np.int64)
+    if kinds <= {"int", "float", "bool", "none"} and kinds & {"float", "int"}:
+        return np.asarray([np.nan if v is None else float(v) for v in values],
+                          dtype=np.float64)
+    arr = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        arr[i] = v
+    return arr
+
+
+cells = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**62, 2**62),
+    st.floats(width=32), st.floats(),
+    st.sampled_from([np.bool_(True), np.int64(7), np.int8(-3),
+                     np.uint16(9), np.float32(0.1), np.float64(2.25)]),
+    st.text(max_size=3), st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(cells, max_size=8))
+def test_coerce_column_matches_per_value_inference(cells_list):
+    from repro.frame.ops import coerce_column
+
+    got, want = coerce_column(list(cells_list)), _infer_reference(cells_list)
+    assert got.dtype == want.dtype
+    if want.dtype == object:
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+    else:
+        assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f")

@@ -501,6 +501,21 @@ class TestPerfWorkflow:
         with pytest.raises(ValueError):
             workload_roots(tmp_path, repeats=0)
 
+    def test_timed_passes_run_without_cyclic_gc(self, tmp_path,
+                                                monkeypatch):
+        import gc
+
+        import repro.perf.harness as harness
+
+        seen = []
+        monkeypatch.setattr(harness, "run_campaign_workload",
+                            lambda *a, **k: seen.append(gc.isenabled()))
+        assert gc.isenabled()
+        workload_roots(tmp_path, repeats=2, scale=0.04)
+        # the untimed warm-up keeps the collector; timed passes do not
+        assert seen == [True, False, False]
+        assert gc.isenabled()
+
     def test_cli_record_check_inject_slowdown_cycle(self, tmp_path):
         from repro.cli import EXIT_PERF_REGRESSION, main
         from repro.workloads import inject_slowdown

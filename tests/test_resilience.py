@@ -39,7 +39,7 @@ from repro.resilience import (
     SignalGuard,
     SupervisedExecutor,
 )
-from repro.resilience.executor import _WORKER_STATE
+from repro.resilience.executor import _WORKER_STATE, _Pending
 from repro.workloads import (
     EXECUTION_FAULT_MODES,
     corrupt_campaign,
@@ -394,6 +394,96 @@ def _crash_or_square(x):
     if x == 2:
         os._exit(3)  # pragma: no cover - the exit IS the test
     return x * x
+
+
+# ----------------------------------------------------------------------
+# dispatch order: ready heap + backoff heap, no processes, no wall clock
+# ----------------------------------------------------------------------
+
+class _RecordingWorker:
+    """Stands in for a worker process: records what it is sent."""
+
+    def __init__(self, sent):
+        self.sent = sent
+        self.conn = self
+        self.busy = None
+        self.dispatched_at = 0.0
+
+    def send(self, msg):
+        index, attempt, _item = msg
+        self.sent.append((index, attempt))
+
+
+class TestDispatchOrder:
+    """``_dispatch`` always sends the lowest eligible ``(index,
+    attempt)``; a retry still backing off waits, however low its index."""
+
+    N = 6
+
+    @pytest.fixture
+    def ex(self, monkeypatch):
+        ex = SupervisedExecutor(ResiliencePolicy(jobs=1), clock=FakeClock())
+        self.sent = []
+        monkeypatch.setattr(ex, "_spawn_worker",
+                            lambda ctx, fn: _RecordingWorker(self.sent))
+        return ex
+
+    def _step(self, ex, pending, workers, now):
+        """One dispatch on a one-worker pool; returns what went out."""
+        keys = [f"k{i}" for i in range(self.N)]
+        ex._dispatch(None, None, list(range(self.N)), pending, workers,
+                     {}, keys, {}, 1, now)
+        out = self.sent[:]
+        self.sent.clear()
+        for w in workers:
+            w.busy = None     # the task finished before the next step
+        return out
+
+    def test_backoff_retries_interleave_with_fresh_tasks(self, ex):
+        pending, workers = _Pending(self.N), []
+        order = []
+        order += self._step(ex, pending, workers, 0.0)    # (0, 0) fails
+        pending.retry(10.0, 0, 1)
+        order += self._step(ex, pending, workers, 1.0)    # (1, 0)
+        order += self._step(ex, pending, workers, 2.0)    # (2, 0) fails
+        pending.retry(5.0, 2, 1)
+        order += self._step(ex, pending, workers, 3.0)    # retries not due
+        order += self._step(ex, pending, workers, 6.0)    # (2, 1) now due
+        order += self._step(ex, pending, workers, 7.0)    # (0, 1) not due
+        order += self._step(ex, pending, workers, 11.0)   # (0, 1) beats 5
+        order += self._step(ex, pending, workers, 12.0)
+        assert order == [(0, 0), (1, 0), (2, 0), (3, 0), (2, 1), (4, 0),
+                         (0, 1), (5, 0)]
+        assert self._step(ex, pending, workers, 99.0) == []
+        assert pending.ready == [] and pending.backoff == []
+
+    def test_due_retries_go_by_index_not_by_due_time(self, ex):
+        pending, workers = _Pending(0), []
+        pending.retry(3.0, 4, 1)
+        pending.retry(1.0, 3, 2)
+        pending.retry(2.0, 3, 1)
+        order = [t for _ in range(3)
+                 for t in self._step(ex, pending, workers, 5.0)]
+        assert order == [(3, 1), (3, 2), (4, 1)]
+
+    def test_no_idle_worker_keeps_the_task_queued(self, ex):
+        pending, workers = _Pending(3), []
+        keys = ["a", "b", "c"]
+        ex._dispatch(None, None, [0, 1, 2], pending, workers, {}, keys,
+                     {}, 1, 0.0)
+        assert self.sent == [(0, 0)] and workers[0].busy == (0, 0)
+        assert pending.peek(0.0) == (1, 0)
+
+    def test_fail_remaining_drains_both_heaps(self, ex):
+        pending = _Pending(3)
+        pending.pop()                     # (0, 0) already dispatched
+        pending.retry(50.0, 0, 1)         # ... and now backing off
+        done = {}
+        ex._fail_remaining(pending, [], done, ["a", "b", "c"], {}, 1.0)
+        assert sorted(done) == [0, 1, 2]
+        assert all(o.status == "deadline" for o in done.values())
+        assert done[0].attempts == 2 and done[1].attempts == 1
+        assert pending.peek(99.0) is None
 
 
 # ----------------------------------------------------------------------

@@ -712,6 +712,32 @@ class TestHTTPEndToEnd:
         assert errors == []
         assert results == [200] * 8
 
+    def test_connect_burst_queues_before_accept(self, store_dir):
+        # nothing accepts until every connect has returned: each one
+        # must be queued by the kernel, which a backlog of 5 refuses
+        # past the sixth (the SYN is dropped and connect times out)
+        svc = AnalysisService(store_dir, pool=WorkerPool(workers=2))
+        srv = ReproServer(svc, port=0, drain_deadline=5.0)
+        socks = []
+        try:
+            for _ in range(32):
+                socks.append(socket.create_connection(
+                    ("127.0.0.1", srv.port), timeout=1.0))
+        finally:
+            srv.start()  # drain() waits for the accept loop to stop
+        try:
+            for s in socks:
+                s.settimeout(15)
+                s.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                          b"Connection: close\r\n\r\n")
+            for s in socks:
+                with s.makefile("rb") as fh:
+                    assert fh.readline().split()[1] == b"200"
+        finally:
+            for s in socks:
+                s.close()
+            srv.drain()
+
 
 # ----------------------------------------------------------------------
 # CLI lifecycle: bind failure, SIGTERM drain, kill -9 recovery
