@@ -361,6 +361,20 @@ if [ ! -s "$SERVE_TRACE_OUT" ]; then
     exit 1
 fi
 echo "serve smoke: SIGTERM drained to exit 0, trace at $SERVE_TRACE_OUT"
+# the drained trace carries the request-latency histogram: it must have
+# counted the burst above, with ordered quantiles inside [min, max]
+python - "$SERVE_TRACE_OUT" <<'PY'
+import sys
+
+from repro.obs.export import read_chrome_trace
+
+_, metrics = read_chrome_trace(sys.argv[1])
+h = metrics["histograms"]["serve.latency_seconds"]
+assert h["count"] > 0, h
+assert h["min"] <= h["p50"] <= h["p95"] <= h["p99"] <= h["max"], h
+print(f"serve smoke: serve.latency_seconds n={h['count']} "
+      f"p50={h['p50']:.4f}s p99={h['p99']:.4f}s")
+PY
 
 # phase 2: a tiny-queue server is wedged with injected hangs and must
 # shed the next request with a typed 429 queue_full + Retry-After,

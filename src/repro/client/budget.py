@@ -52,7 +52,6 @@ class RetryBudget:
         # rate=0 is a *frozen* bucket here (fixed allowance), which is
         # the opposite of TokenBucket's rate=0 (always admit): model it
         # as an astronomically slow refill instead.
-        self._frozen = rate == 0
         self._bucket = TokenBucket(rate if rate > 0 else 1e-9,
                                    burst=capacity, clock=clock)
         self.rate = float(rate)
@@ -74,11 +73,7 @@ class RetryBudget:
     @property
     def remaining(self) -> float:
         """Tokens currently available (refilled view, non-consuming)."""
-        with self._bucket._lock:
-            now = self._bucket.clock()
-            return min(self._bucket.burst,
-                       self._bucket._tokens
-                       + (now - self._bucket._stamp) * self._bucket.rate)
+        return self._bucket.available()
 
     def to_dict(self) -> dict:
         """Snapshot for diagnostics: rate/capacity/spent/denied."""

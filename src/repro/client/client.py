@@ -21,7 +21,8 @@ client-side half of the end-to-end resilience contract:
   delivery actually succeeded replays the original result instead of
   double-ingesting.
 * **Hedged reads** — for idempotent GETs, when the primary attempt is
-  still unanswered after a p95-derived hedge delay, one backup request
+  still unanswered after a hedge delay (the p95 of all the client's
+  successful GETs, from one log-bucket histogram), one backup request
   launches (both legs share an idempotency key, so the server
   coalesces them onto one execution); the first success wins and the
   loser's socket is closed.  Hedges spend retry-budget tokens too.
@@ -57,6 +58,7 @@ from ..errors import (
     ServerRejectedError,
     TransportError,
 )
+from ..obs import HistogramSummary
 from ..obs import counter as obs_counter
 from ..obs import observe as obs_observe
 from ..obs import span as obs_span
@@ -73,8 +75,6 @@ DEADLINE_HEADER = "X-Repro-Deadline-Ms"
 IDEMPOTENCY_HEADER = "X-Repro-Idempotency-Key"
 #: server-assigned correlation id echoed on every response
 REQUEST_ID_HEADER = "X-Repro-Request-Id"
-
-_LATENCY_WINDOW = 128  # GET latencies kept for the p95 hedge delay
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class ReproClient:
         self._host_key = f"{self.host}:{self.port}"
         self._session_start = clock()
         self._lat_lock = threading.Lock()
-        self._latencies: list[float] = []
+        self._latencies = HistogramSummary()  # every successful GET
         self.retries = 0
         self.hedges = 0
         self.hedge_wins = 0
@@ -192,20 +192,16 @@ class ReproClient:
     # -- hedging --------------------------------------------------------
     def _record_latency(self, seconds: float) -> None:
         with self._lat_lock:
-            self._latencies.append(seconds)
-            if len(self._latencies) > _LATENCY_WINDOW:
-                del self._latencies[:len(self._latencies)
-                                    - _LATENCY_WINDOW]
+            self._latencies.add(seconds)
 
     def hedge_delay(self) -> float:
         """Current hedge delay: configured, or the observed GET p95."""
         if self.policy.hedge_delay is not None:
             return self.policy.hedge_delay
         with self._lat_lock:
-            lat = sorted(self._latencies)
-        if len(lat) < self.policy.hedge_min_samples:
-            return self.policy.hedge_fallback_delay
-        return lat[min(len(lat) - 1, int(0.95 * len(lat)))]
+            if self._latencies.count < self.policy.hedge_min_samples:
+                return self.policy.hedge_fallback_delay
+            return self._latencies.quantile(0.95)
 
     # -- one attempt ----------------------------------------------------
     def _headers(self, key: str | None, remaining: float) -> dict:

@@ -1,6 +1,7 @@
 """``ClientPolicy`` — every resilience knob of the client in one object.
 
-The client-side mirror of :class:`repro.resilience.ResiliencePolicy`:
+The client-side mirror of :class:`repro.resilience.ResiliencePolicy`,
+built on the same :class:`~repro.resilience.policy.FrozenPolicy` base:
 one frozen, validated dataclass threaded through
 :class:`~repro.client.ReproClient` instead of a drifting pile of
 keyword arguments.  The policy says how long one attempt may take
@@ -14,8 +15,9 @@ breaker (``breaker_threshold``/``breaker_cooldown``).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+
+from ..resilience.policy import FrozenPolicy
 
 __all__ = ["ClientPolicy", "DEFAULT_CLIENT_POLICY"]
 
@@ -25,7 +27,7 @@ RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
 
 @dataclass(frozen=True)
-class ClientPolicy:
+class ClientPolicy(FrozenPolicy):
     """Resilience knobs for one :class:`~repro.client.ReproClient`.
 
     Parameters
@@ -45,9 +47,9 @@ class ClientPolicy:
     max_attempts:
         Total tries for one call (first attempt + retries).
     backoff / backoff_jitter:
-        Jittered exponential backoff between retries, same formula as
-        :meth:`repro.resilience.ResiliencePolicy.delay_for` (delay =
-        ``backoff * 2**attempt * (1 + jitter*U[0,1))``).
+        Jittered exponential backoff between retries: the
+        :meth:`~repro.resilience.policy.FrozenPolicy.delay_for` shared
+        with :class:`~repro.resilience.ResiliencePolicy`.
     retry_budget_rate / retry_budget_capacity:
         Token bucket governing *all* retries this client launches:
         each retry spends one token, tokens refill at ``rate`` per
@@ -104,55 +106,17 @@ class ClientPolicy:
     breaker_threshold: int = 8
     breaker_cooldown: float = 10.0
 
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        for name in ("connect_timeout", "attempt_timeout", "call_timeout",
-                     "hedge_fallback_delay", "min_attempt_budget"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name in ("backoff", "retry_budget_rate", "retry_after_cap",
-                     "breaker_cooldown"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
-                f"backoff_jitter {self.backoff_jitter} outside [0, 1]")
-        if self.retry_budget_capacity < 1:
-            raise ValueError(
-                f"retry_budget_capacity must be >= 1, "
-                f"got {self.retry_budget_capacity}")
-        if self.session_deadline is not None and self.session_deadline <= 0:
-            raise ValueError(
-                f"session_deadline must be positive, "
-                f"got {self.session_deadline}")
-        if self.hedge_delay is not None and self.hedge_delay < 0:
-            raise ValueError(
-                f"hedge_delay must be >= 0, got {self.hedge_delay}")
-        if self.hedge_min_samples < 1:
-            raise ValueError(
-                f"hedge_min_samples must be >= 1, "
-                f"got {self.hedge_min_samples}")
-        if self.breaker_threshold < 0:
-            raise ValueError(
-                f"breaker_threshold must be >= 0, "
-                f"got {self.breaker_threshold}")
-
-    def delay_for(self, attempt: int, rng) -> float:
-        """Backoff delay before retry number *attempt* (0-based).
-
-        Exponential in *attempt* with multiplicative jitter drawn from
-        *rng* (any object with ``random()``), matching the
-        :class:`~repro.resilience.ResiliencePolicy` formula so the two
-        halves of the stack back off identically.
-        """
-        base = self.backoff * (2 ** attempt)
-        if self.backoff_jitter == 0.0:
-            return base
-        return base * (1.0 + self.backoff_jitter * rng.random())
+    _CHECKS = (
+        ("max_attempts", ">=", 1), ("connect_timeout", ">", 0),
+        ("attempt_timeout", ">", 0), ("call_timeout", ">", 0),
+        ("hedge_fallback_delay", ">", 0), ("min_attempt_budget", ">", 0),
+        ("backoff", ">=", 0), ("retry_budget_rate", ">=", 0),
+        ("retry_after_cap", ">=", 0), ("breaker_cooldown", ">=", 0),
+        ("backoff_jitter", ">=", 0), ("backoff_jitter", "<=", 1),
+        ("retry_budget_capacity", ">=", 1), ("session_deadline", ">", 0),
+        ("hedge_delay", ">=", 0), ("hedge_min_samples", ">=", 1),
+        ("breaker_threshold", ">=", 0),
+    )
 
     def retry_delay(self, attempt: int, rng,
                     retry_after: float | None) -> float:
@@ -167,10 +131,6 @@ class ClientPolicy:
             delay = max(delay, min(float(retry_after),
                                    self.retry_after_cap))
         return delay
-
-    def replace(self, **changes) -> "ClientPolicy":
-        """A copy of this policy with *changes* applied."""
-        return dataclasses.replace(self, **changes)
 
 
 #: The defaults: 4 attempts, hedged reads, a 10-token retry bucket.

@@ -50,6 +50,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import time
 import warnings
 from contextlib import ExitStack, contextmanager, nullcontext
@@ -89,6 +90,9 @@ __all__ = ["load_ensemble", "ERROR_POLICIES", "FAULT_KEY"]
 ERROR_POLICIES = ("strict", "skip", "collect")
 
 logger = logging.getLogger("repro.ingest")
+
+# Workers read once: the supervisor owns retries of transient errors.
+_NO_RETRY = ResiliencePolicy(max_retries=0)
 
 
 @contextmanager
@@ -168,55 +172,28 @@ def _trip_fault(payload: Any, source: str, sleep) -> Any:
 def _parallel_ingest_task(spec: tuple[str, bool]) -> dict:
     """Run one profile path through read → validate → build in a worker.
 
-    Returns the built GraphFrame as typed whole columns
-    (:func:`repro.ingest.checkpoint._gf_to_columns`): the numpy column
-    arrays, an int array of node positions, the graph literal and the
-    metadata as built.  They cross the pipe as pickled buffers and the
-    parent rebuilds the frame without converting a cell, so parallel
-    composition is byte-identical to serial.  Transient I/O errors are
-    re-raised as ``ReaderError`` with ``transient=True``; the
-    supervisor owns the retry/backoff budget.
+    The same :func:`_load_one` as the serial path, with no in-worker
+    retries: a transient ``OSError`` surfaces at once as a
+    ``ReaderError`` with ``transient=True`` and the supervisor owns the
+    retry/backoff budget.  Returns the built GraphFrame as typed whole
+    columns (:func:`repro.ingest.checkpoint._gf_to_columns`): the numpy
+    column arrays, an int array of node positions, the graph literal
+    and the metadata as built.  They cross the pipe as pickled buffers
+    and the parent rebuilds the frame without converting a cell, so
+    parallel composition is byte-identical to serial.
     """
     from .checkpoint import _gf_to_columns
 
-    path_str, validate = spec
-    path = Path(path_str)
-    try:
-        text = _read_text(path)
-    except FileNotFoundError as e:
-        raise ReaderError(f"profile file not found: {path}",
-                          source=path) from e
-    except OSError as e:
-        err = ReaderError(f"I/O error reading {path}: {e}", source=path)
-        err.transient = True  # supervisor may retry with backoff
-        raise err from e
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ReaderError(f"invalid JSON in {path_str}: {e}",
-                          source=path_str) from e
-    payload = _trip_fault(payload, path_str, time.sleep)
-    if validate:
-        validate_cali_payload(payload, source=path_str)
-    try:
-        gf = read_cali_dict(payload, source=path_str)
-    except ReproError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError,
-            AttributeError) as e:
-        raise ReaderError(
-            f"failed to build call tree from {path_str}: "
-            f"{type(e).__name__}: {e}", source=path_str,
-            stage="build") from e
-    gf.metadata.setdefault("profile.file", path_str)
-    return _gf_to_columns(gf)
+    path, validate = spec
+    return _gf_to_columns(_load_one(path, 0, validate, _NO_RETRY,
+                                    time.sleep, {}))
 
 
-def _read_with_retry(path: Path, max_retries: int, base_delay: float,
-                     sleep) -> str:
-    """Read *path*, retrying transient ``OSError`` with backoff.
+def _read_with_retry(path: Path, policy: ResiliencePolicy, sleep) -> str:
+    """Read *path*, retrying transient ``OSError`` on *policy*'s backoff.
 
-    A missing file is permanent and is never retried.
+    A missing file is permanent and is never retried; a transient error
+    that outlives the retries is raised with ``transient=True``.
     """
     attempt = 0
     while True:
@@ -226,18 +203,19 @@ def _read_with_retry(path: Path, max_retries: int, base_delay: float,
             raise ReaderError(f"profile file not found: {path}",
                               source=path) from e
         except OSError as e:
-            if attempt >= max_retries:
-                logger.error(
-                    "giving up on %s after %d attempt(s): %s",
-                    path, attempt + 1, e)
-                raise ReaderError(
+            if attempt >= policy.max_retries:
+                err = ReaderError(
                     f"I/O error reading {path} after {attempt + 1} "
-                    f"attempt(s): {e}", source=path) from e
-            delay = base_delay * (2 ** attempt)
+                    f"attempt(s): {e}", source=path)
+                err.transient = True
+                raise err from e
+            # jitter (if any) seeded by path and attempt: reproducible
+            delay = policy.delay_for(attempt,
+                                     random.Random(f"{path}#{attempt}"))
             logger.warning(
                 "transient I/O error reading %s (attempt %d/%d): %s; "
-                "retrying in %.3fs", path, attempt + 1, max_retries + 1,
-                e, delay)
+                "retrying in %.3fs", path, attempt + 1,
+                policy.max_retries + 1, e, delay)
             obs_counter("ingest.read.retries")
             sleep(delay)
             attempt += 1
@@ -252,8 +230,8 @@ def _source_label(src: Any, index: int) -> str:
     return str(src)
 
 
-def _load_one(src: Any, index: int, validate: bool, max_retries: int,
-              base_delay: float, sleep,
+def _load_one(src: Any, index: int, validate: bool,
+              policy: ResiliencePolicy, sleep,
               timings: dict[str, float]) -> GraphFrame:
     """Run one source through read → validate → build.
 
@@ -269,8 +247,7 @@ def _load_one(src: Any, index: int, validate: bool, max_retries: int,
     else:
         with _timed(timings, "read"), obs_span("ingest.read",
                                                source=source):
-            text = _read_with_retry(Path(src), max_retries, base_delay,
-                                    sleep)
+            text = _read_with_retry(Path(src), policy, sleep)
             try:
                 payload = json.loads(text)
             except json.JSONDecodeError as e:
@@ -610,8 +587,7 @@ def load_ensemble(sources: Iterable[Any] | Any,
                         continue
                     try:
                         with obs_span("ingest.profile", source=source):
-                            gf = _load_one(src, idx, validate,
-                                           eff.max_retries, eff.backoff,
+                            gf = _load_one(src, idx, validate, eff,
                                            sleep, timings)
                     except ReproError as e:
                         if on_error == "strict":

@@ -1,9 +1,9 @@
 """Thread-safe registry of counters, gauges, histograms, timelines.
 
 The registry is deliberately tiny: four dictionaries behind one lock.
-Counters accumulate, gauges hold the last value, histograms keep a
-bounded sample plus exact count/sum/min/max so summaries stay correct
-even after the sample saturates, and timelines keep a bounded
+Counters accumulate, gauges hold the last value, histograms count
+observations in fixed log-spaced buckets (quantiles within 1% relative
+error, exact count/sum/min/max) and timelines keep a bounded
 ``(t, value)`` series for periodic resource gauges (RSS, CPU%, …).
 Everything is standard library only so the registry is importable from
 the bottom of the stack.
@@ -11,16 +11,19 @@ the bottom of the stack.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any
 
 __all__ = ["MetricsRegistry", "HistogramSummary", "Timeline",
            "format_snapshot"]
 
-# Keep at most this many raw observations per histogram; beyond it the
-# sample decimates (every other element) so memory stays bounded while
-# count/sum/min/max remain exact.
-_HISTOGRAM_SAMPLE_CAP = 8192
+# Histogram buckets are log-spaced: bucket k holds (GAMMA**(k-1),
+# GAMMA**k], and its midpoint 2*GAMMA**k/(GAMMA+1) is within
+# _RELATIVE_ERROR of every value in it (the DDSketch construction).
+_RELATIVE_ERROR = 0.01
+_GAMMA = (1 + _RELATIVE_ERROR) / (1 - _RELATIVE_ERROR)
+_LOG_GAMMA = math.log(_GAMMA)
 
 # Keep at most this many (t, value) points per timeline; beyond it the
 # series decimates (every other point) so a long-running resource
@@ -29,16 +32,23 @@ _TIMELINE_POINT_CAP = 4096
 
 
 class HistogramSummary:
-    """Exact count/sum/min/max plus a bounded sample for quantiles."""
+    """Exact count/sum/min/max plus log-bucket counts for quantiles.
 
-    __slots__ = ("count", "total", "minimum", "maximum", "sample")
+    ``add`` is O(1) and memory is bounded by the dynamic range (about
+    115 buckets per decade), not by the number of observations.
+    Non-positive values (fake clocks observe 0.0) and non-finite ones
+    share one zero bucket.
+    """
+
+    __slots__ = ("count", "total", "minimum", "maximum", "zeros", "buckets")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.minimum = float("inf")
         self.maximum = float("-inf")
-        self.sample: list[float] = []
+        self.zeros = 0
+        self.buckets: dict[int, int] = {}
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -47,20 +57,35 @@ class HistogramSummary:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        self.sample.append(value)
-        if len(self.sample) > _HISTOGRAM_SAMPLE_CAP:
-            del self.sample[::2]
+        if 0.0 < value < math.inf:
+            key = math.ceil(math.log(value) / _LOG_GAMMA)
+            self.buckets[key] = self.buckets.get(key, 0) + 1
+        else:
+            self.zeros += 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else float("nan")
 
     def quantile(self, q: float) -> float:
-        if not self.sample:
+        """The observation of rank ``round(q * (count - 1))``: exact at
+        the first and last rank, within 1% relative error between."""
+        if not self.count:
             return float("nan")
-        ordered = sorted(self.sample)
-        pos = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[pos]
+        rank = min(self.count - 1, max(0, round(q * (self.count - 1))))
+        if rank == 0:
+            return self.minimum
+        if rank == self.count - 1:
+            return self.maximum
+        seen = self.zeros
+        estimate = 0.0
+        if rank >= seen:
+            for key in range(min(self.buckets), max(self.buckets) + 1):
+                seen += self.buckets.get(key, 0)
+                if seen > rank:
+                    estimate = 2.0 * _GAMMA ** key / (_GAMMA + 1.0)
+                    break
+        return min(self.maximum, max(self.minimum, estimate))
 
     def to_dict(self) -> dict[str, float]:
         return {

@@ -13,8 +13,9 @@ Detection follows ``find_regressions``'s philosophy — a node alerts
 when it exceeds the relative-change threshold and the change is either
 statistically significant or undecidable (single-run candidates have
 NaN p-values; nightly CI still needs to alert on them) — plus an
-absolute floor (``min_seconds``) so microsecond-level nodes cannot trip
-the gate on scheduler noise.
+absolute floor on the change of the mean (``min_seconds``) so
+millisecond-level scheduler noise cannot trip the gate, while a fast
+node that becomes slow still does.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class PerfPolicy:
     ``metric`` is the Thicket metric column compared (inclusive wall
     time by default — the quantity users feel).  A node is flagged when
     its candidate mean exceeds the baseline mean by more than
-    ``min_relative_change`` (fraction), the baseline mean is at least
-    ``min_seconds`` (ignore sub-noise nodes), each side has at least
+    ``min_relative_change`` (fraction) and by at least ``min_seconds``
+    (ignore sub-noise changes), each side has at least
     ``min_samples`` profiles, and the Welch's-t p-value is either below
     ``alpha`` or NaN (undecidable — single-run ensembles still alert).
     Improvements mirror the same thresholds on the other side.
@@ -209,11 +210,12 @@ def check_regression(baseline, candidate,
             decisive = bool(row["significant"]) or math.isnan(p)
             if not decisive:
                 continue
+            delta = c_mean - b_mean
             if (rel > policy.min_relative_change
-                    and b_mean >= policy.min_seconds):
+                    and delta >= policy.min_seconds):
                 verdict.regressions.append(entry)
             elif (rel < -policy.min_relative_change
-                    and b_mean >= policy.min_seconds):
+                    and -delta >= policy.min_seconds):
                 verdict.improvements.append(entry)
 
         verdict.regressions.sort(key=lambda r: r["relative_change"],

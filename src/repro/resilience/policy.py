@@ -9,18 +9,66 @@ single task may run (``task_timeout``), how failures are retried
 source trips its circuit breaker (``breaker_threshold``/
 ``breaker_cooldown``), and how much wall clock the whole run may spend
 (``deadline``).
+
+:class:`FrozenPolicy` is the base this policy shares with
+:class:`repro.client.ClientPolicy`: one backoff formula, one
+``replace()`` and one table-driven field check.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
-__all__ = ["ResiliencePolicy", "SERIAL_POLICY"]
+__all__ = ["FrozenPolicy", "ResiliencePolicy", "SERIAL_POLICY"]
+
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+class FrozenPolicy:
+    """Base of the frozen policy dataclasses.
+
+    Subclasses declare their own fields (``backoff`` and
+    ``backoff_jitter`` among them) and list their bounds in
+    ``_CHECKS``; a field whose default is ``None`` is optional and its
+    bounds apply only when it is set.
+    """
+
+    #: ``(field, op, bound)`` rows: construction raises ``ValueError``
+    #: unless ``field op bound`` holds.
+    _CHECKS: ClassVar[tuple[tuple[str, str, float], ...]] = ()
+
+    def __post_init__(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for name, op, bound in self._CHECKS:
+            value = getattr(self, name)
+            if value is None and defaults[name] is None:
+                continue
+            if not _OPS[op](value, bound):
+                raise ValueError(f"{name} must be {op} {bound}, got {value}")
+
+    def delay_for(self, attempt: int, rng) -> float:
+        """Backoff delay in seconds before retry number *attempt* (0-based).
+
+        ``backoff`` doubled per attempt, times ``1 + backoff_jitter *
+        rng.random()`` (*rng*: any object with ``random()``, so a seeded
+        RNG makes the schedule reproducible).  With ``backoff_jitter``
+        0 the delay is exact and *rng* is not touched.
+        """
+        base = self.backoff * (2 ** attempt)
+        if self.backoff_jitter == 0.0:
+            return base
+        return base * (1.0 + self.backoff_jitter * rng.random())
+
+    def replace(self, **changes):
+        """A copy of this policy with *changes* applied."""
+        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)
-class ResiliencePolicy:
+class ResiliencePolicy(FrozenPolicy):
     """Execution-resilience knobs for one supervised bulk stage.
 
     Parameters
@@ -42,7 +90,7 @@ class ResiliencePolicy:
         whole deadline re-hanging.
     backoff:
         Base delay in seconds for jittered exponential backoff between
-        retries (delay = ``backoff * 2**attempt * (1 + jitter*U[0,1))``).
+        retries (:meth:`FrozenPolicy.delay_for`).
     backoff_jitter:
         Jitter fraction in ``[0, 1]``; ``0`` reproduces the historical
         deterministic backoff exactly.  The RNG is injectable, so
@@ -82,32 +130,13 @@ class ResiliencePolicy:
     heartbeat_grace: float = 10.0
     retry_timeouts: bool = False
 
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
-                f"backoff_jitter {self.backoff_jitter} outside [0, 1]")
-        if self.breaker_threshold < 0:
-            raise ValueError(
-                f"breaker_threshold must be >= 0, "
-                f"got {self.breaker_threshold}")
-        if self.breaker_cooldown < 0:
-            raise ValueError(
-                f"breaker_cooldown must be >= 0, "
-                f"got {self.breaker_cooldown}")
-        for name in ("task_timeout", "deadline"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.heartbeat_interval <= 0 or self.heartbeat_grace <= 0:
-            raise ValueError("heartbeat_interval and heartbeat_grace "
-                             "must be positive")
+    _CHECKS = (
+        ("jobs", ">=", 1), ("max_retries", ">=", 0), ("backoff", ">=", 0),
+        ("backoff_jitter", ">=", 0), ("backoff_jitter", "<=", 1),
+        ("breaker_threshold", ">=", 0), ("breaker_cooldown", ">=", 0),
+        ("task_timeout", ">", 0), ("deadline", ">", 0),
+        ("heartbeat_interval", ">", 0), ("heartbeat_grace", ">", 0),
+    )
 
     @property
     def supervised(self) -> bool:
@@ -118,23 +147,6 @@ class ResiliencePolicy:
         """
         return (self.jobs > 1 or self.task_timeout is not None
                 or self.deadline is not None)
-
-    def delay_for(self, attempt: int, rng) -> float:
-        """Backoff delay in seconds before retry number *attempt* (0-based).
-
-        Exponential in *attempt* with multiplicative jitter drawn from
-        *rng* (any object with ``random()``); deterministic for a
-        seeded RNG, and exactly ``backoff * 2**attempt`` when
-        ``backoff_jitter`` is 0.
-        """
-        base = self.backoff * (2 ** attempt)
-        if self.backoff_jitter == 0.0:
-            return base
-        return base * (1.0 + self.backoff_jitter * rng.random())
-
-    def replace(self, **changes) -> "ResiliencePolicy":
-        """A copy of this policy with *changes* applied."""
-        return dataclasses.replace(self, **changes)
 
 
 # The do-nothing policy: inline execution, the pre-resilience defaults.

@@ -59,6 +59,16 @@ class TokenBucket:
         self._stamp = clock()
         self._lock = threading.Lock()
 
+    def _level(self, now: float) -> float:
+        """Tokens held at *now*: the stored level refilled, capped at
+        ``burst``.  Caller holds ``_lock``."""
+        return min(self.burst, self._tokens + (now - self._stamp) * self.rate)
+
+    def available(self) -> float:
+        """Tokens available right now, without consuming any."""
+        with self._lock:
+            return self._level(self.clock())
+
     def try_acquire(self, tokens: float = 1.0) -> float:
         """Consume *tokens* if available; 0.0 on success, else the
         seconds until the deficit refills."""
@@ -66,8 +76,7 @@ class TokenBucket:
             return 0.0
         with self._lock:
             now = self.clock()
-            self._tokens = min(self.burst,
-                               self._tokens + (now - self._stamp) * self.rate)
+            self._tokens = self._level(now)
             self._stamp = now
             if self._tokens >= tokens:
                 self._tokens -= tokens

@@ -58,7 +58,7 @@ import re
 import threading
 import time
 import uuid
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -212,6 +212,7 @@ class AnalysisService:
         self._cache_lock = threading.Lock()
         self._thickets: dict[str, Thicket] = {}
         self._results: "OrderedDict[str, dict]" = OrderedDict()
+        self._ingesting: Counter[str] = Counter()  # names being ingested
         self.requests = 0
 
     # -- degradation hooks ---------------------------------------------
@@ -393,15 +394,25 @@ class AnalysisService:
                 reason="memory_pressure", retry_after=10.0, source=name)
         overwrite = bool(payload.get("overwrite", False))
         path = self.store_dir / f"{name}.json"
-        if path.exists() and not overwrite:
-            raise ValueError(
-                f"dataset {name!r} already exists (pass overwrite)")
-        result = load_ensemble(profiles, on_error="strict")
-        tk = result.thicket
-        tk.save(path)  # atomic + checksummed: kill -9-safe by design
+        # claim the name before the exists check: a create that races an
+        # in-flight ingest of the same name is refused, not replaced
         with self._cache_lock:
-            self._thickets[name] = tk
-            self._results.clear()
+            busy = self._ingesting[name] > 0
+            self._ingesting[name] += 1
+        try:
+            if (busy or path.exists()) and not overwrite:
+                raise ValueError(
+                    f"dataset {name!r} already exists (pass overwrite)")
+            tk = load_ensemble(profiles, on_error="strict").thicket
+            tk.save(path)  # atomic + checksummed: kill -9-safe by design
+            with self._cache_lock:
+                self._thickets[name] = tk
+                self._results.clear()
+        finally:
+            with self._cache_lock:
+                self._ingesting[name] -= 1
+                if not self._ingesting[name]:
+                    del self._ingesting[name]
         obs_counter("serve.ingests")
         return {
             "dataset": name,

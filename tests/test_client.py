@@ -155,6 +155,27 @@ class TestRetryBudget:
         with pytest.raises(ValueError):
             RetryBudget(rate=1.0, capacity=0.5)
 
+    def test_remaining_refills_without_spending(self):
+        clock = FakeClock()
+        b = RetryBudget(rate=1.0, capacity=2.0, clock=clock)
+        assert b.remaining == 2.0
+        assert b.try_spend() and b.try_spend()
+        assert b.remaining == pytest.approx(0.0)
+        clock.advance(0.5)
+        assert b.remaining == pytest.approx(0.5)
+        assert b.remaining == pytest.approx(0.5)  # reading spends nothing
+        clock.advance(10.0)
+        assert b.remaining == 2.0  # capped at capacity
+        assert b.spent == 2 and b.denied == 0
+
+    def test_remaining_of_frozen_budget_is_the_allowance_left(self):
+        clock = FakeClock()
+        b = RetryBudget(rate=0.0, capacity=3.0, clock=clock)
+        assert b.remaining == 3.0
+        assert b.try_spend()
+        clock.advance(1000.0)
+        assert b.remaining == pytest.approx(2.0, abs=1e-5)
+
     def test_to_dict(self):
         b = RetryBudget(rate=2.0, capacity=4.0, clock=FakeClock())
         b.try_spend()

@@ -295,6 +295,32 @@ class TestTransientIORetry:
                           sleep=calls.append)
         assert calls == []
 
+    def test_worker_task_surfaces_oserror_as_transient(self, tmp_path,
+                                                       monkeypatch):
+        # the worker reads once and leaves retries to the supervisor
+        from repro.ingest import pipeline
+
+        path = write_profile(tmp_path / "p.json", 1)
+        reads = []
+
+        def always_fails(p):
+            reads.append(p)
+            raise OSError("stale file handle")
+
+        monkeypatch.setattr(pipeline, "_read_text", always_fails)
+        with pytest.raises(ReaderError) as err:
+            pipeline._parallel_ingest_task((str(path), True))
+        assert err.value.transient is True
+        assert len(reads) == 1
+
+    def test_worker_task_missing_file_is_permanent(self, tmp_path):
+        from repro.ingest import pipeline
+
+        with pytest.raises(ReaderError, match="not found") as err:
+            pipeline._parallel_ingest_task(
+                (str(tmp_path / "nope.json"), True))
+        assert not getattr(err.value, "transient", False)
+
 
 class TestProfileIdRepair:
     def make_identical(self, tmp_path):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -174,14 +175,42 @@ class TestMetricsRegistry:
         assert 45 <= d["p50"] <= 56
         assert d["p95"] >= 90
 
-    def test_histogram_sample_stays_bounded(self):
-        from repro.obs.metrics import _HISTOGRAM_SAMPLE_CAP
-
+    def test_histogram_buckets_stay_bounded(self):
         h = HistogramSummary()
-        for v in range(3 * _HISTOGRAM_SAMPLE_CAP):
+        for v in range(3 * 8192):
             h.add(float(v))
-        assert h.count == 3 * _HISTOGRAM_SAMPLE_CAP
-        assert len(h.sample) <= _HISTOGRAM_SAMPLE_CAP
+        assert h.count == 3 * 8192
+        # 1% buckets: ~115 per decade, so 1..24,575 needs ~505 of them
+        assert len(h.buckets) <= 600
+
+    @pytest.mark.parametrize("stream", ["increasing", "lognormal"])
+    def test_histogram_quantiles_within_one_percent(self, stream):
+        # 100k observations, far past the point where the old bounded
+        # sample started thinning: every quantile must stay within the
+        # stated 1% relative error of the exact order statistic
+        if stream == "increasing":
+            values = [float(v) for v in range(100_000)]
+        else:
+            rng = random.Random(7)
+            values = [rng.lognormvariate(0.0, 1.5) for _ in range(100_000)]
+        h = HistogramSummary()
+        for v in values:
+            h.add(v)
+        ordered = sorted(values)
+        d = h.to_dict()
+        for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
+            exact = ordered[round(q * (len(ordered) - 1))]
+            assert d[key] == pytest.approx(exact, rel=0.01), key
+        assert (d["min"], d["max"]) == (ordered[0], ordered[-1])
+        assert d["count"] == 100_000
+
+    def test_histogram_zero_bucket_and_exact_extremes(self):
+        h = HistogramSummary()
+        for v in (0.0, 0.0, 0.0, 2.0, 5.0):
+            h.add(v)  # fake clocks observe 0.0
+        assert h.quantile(0.0) == 0.0 and h.quantile(1.0) == 5.0
+        assert h.quantile(0.5) == 0.0
+        assert h.quantile(0.75) == pytest.approx(2.0, rel=0.01)
 
     def test_histogram_summary_schema_is_stable(self):
         # external consumers (repro obs --json, perf store snapshots)

@@ -454,6 +454,15 @@ class TestSentinel:
         v = check_regression(baseline, candidate, self.POLICY)
         assert v.ok  # tiny quadrupled but is under the 10 ms floor
 
+    def test_fast_node_turned_slow_is_flagged(self):
+        # the floor is on the change, not the baseline: a 5 ms node
+        # that takes half a second is no scheduler noise
+        baseline = _thicket_of(_spans_run([("quick", 0.005)]),
+                               _spans_run([("quick", 0.006)]))
+        candidate = _thicket_of(_spans_run([("quick", 0.5)]))
+        v = check_regression(baseline, candidate, self.POLICY)
+        assert "quick" in [r["node"] for r in v.regressions]
+
     def test_min_samples_gate(self):
         baseline = _thicket_of(_spans_run([("work.a", 1.0)]))
         candidate = _thicket_of(_spans_run([("work.a", 5.0)]))

@@ -126,6 +126,19 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=5.0, burst=0.5)
 
+    def test_available_refills_caps_at_burst_and_never_consumes(self):
+        clock = FakeClock()
+        bucket = TokenBucket(rate=2.0, burst=3, clock=clock)
+        assert bucket.available() == 3.0
+        assert bucket.available() == 3.0  # reading spends nothing
+        assert bucket.try_acquire(2.0) == 0.0
+        assert bucket.available() == pytest.approx(1.0)
+        clock.advance(0.5)
+        assert bucket.available() == pytest.approx(2.0)  # 1 token back
+        clock.advance(60.0)
+        assert bucket.available() == 3.0  # capped at burst
+        assert [bucket.try_acquire() for _ in range(3)] == [0.0] * 3
+
 
 # ----------------------------------------------------------------------
 # admission controller
@@ -505,6 +518,42 @@ class TestAnalysisServiceDispatch:
             "POST", "/v1/ingest",
             {"dataset": "demo", "profiles": _payloads(1)}, "c")
         assert status == 400
+
+    def test_concurrent_create_same_name_one_wins(self, service, store_dir,
+                                                  monkeypatch):
+        import repro.ingest
+
+        real = repro.ingest.load_ensemble
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking_load(*args, **kwargs):
+            entered.set()
+            assert release.wait(30.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.ingest, "load_ensemble", blocking_load)
+        first = {}
+
+        def create_a():
+            first["reply"] = service.dispatch(
+                "POST", "/v1/ingest",
+                {"dataset": "race", "profiles": _payloads(2, seed0=5)}, "a")
+
+        a = threading.Thread(target=create_a)
+        a.start()
+        try:
+            assert entered.wait(30.0)  # A holds the name, mid-ingest
+            status, body, _ = service.dispatch(
+                "POST", "/v1/ingest",
+                {"dataset": "race", "profiles": _payloads(1, seed0=9)}, "b")
+            assert status == 400
+            assert "already exists" in body["error"]["message"]
+        finally:
+            release.set()
+            a.join(30.0)
+        assert first["reply"][0] == 200
+        tk = Thicket.load(store_dir / "race.json", verify=True)
+        assert len(tk.profile) == 2  # A's profiles, not B's one
 
     def test_metrics_endpoint_shape(self, service):
         service.dispatch("GET", "/healthz", None, "c")
