@@ -34,6 +34,7 @@ from typing import Any
 
 import numpy as np
 
+from .. import gcpause
 from ..errors import CorruptStoreError, PersistenceError
 from ..frame import DataFrame, Index, MultiIndex
 from ..graph import Graph
@@ -45,6 +46,13 @@ __all__ = ["thicket_to_json", "thicket_from_json", "save_thicket",
 
 FORMAT_V1 = "repro-thicket-v1"
 FORMAT_V2 = "repro-thicket-v2"
+
+# thicket_to_json's envelope around the payload text <body>:
+# {"checksum":"sha256:<64 hex>","format":"repro-thicket-v2","payload":<body>}
+_ENVELOPE_HEAD = '{"checksum":"'
+_ENVELOPE_MID = '","format":"%s","payload":' % FORMAT_V2
+_CHECKSUM_END = len(_ENVELOPE_HEAD) + len("sha256:") + 64
+_BODY_AT = _CHECKSUM_END + len(_ENVELOPE_MID)
 
 
 def jsonable(v: Any) -> Any:
@@ -169,9 +177,28 @@ def thicket_to_json(tk) -> str:
     both hashed and spliced into the envelope, which is exactly
     ``canonical_json`` of ``{"checksum", "format", "payload"}``.
     """
-    body = canonical_json(thicket_to_payload(tk))
-    return '{"checksum":%s,"format":%s,"payload":%s}' % (
-        canonical_json(sha256_of(body)), canonical_json(FORMAT_V2), body)
+    with gcpause.paused():
+        body = canonical_json(thicket_to_payload(tk))
+        return _ENVELOPE_HEAD + sha256_of(body) + _ENVELOPE_MID + body + "}"
+
+
+def _writer_layout_payload(text: str) -> dict | None:
+    """The payload of a store in :func:`thicket_to_json`'s exact layout
+    whose payload text hashes to its checksum, parsed once.  ``None``
+    for any other document, which then takes the general path (and
+    gets its error messages from there)."""
+    if not (text.startswith(_ENVELOPE_HEAD)
+            and text.startswith(_ENVELOPE_MID, _CHECKSUM_END)
+            and text.endswith("}")):
+        return None
+    body = text[_BODY_AT:-1]
+    if sha256_of(body) != text[len(_ENVELOPE_HEAD):_CHECKSUM_END]:
+        return None
+    try:
+        payload = json.loads(body)
+    except json.JSONDecodeError:
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def _payload_to_thicket(payload: dict):
@@ -214,7 +241,27 @@ def thicket_from_json(text: str, source: Any = None):
     — undecodable JSON, unknown format, checksum mismatch, missing or
     malformed sections — raises :class:`CorruptStoreError` (which is
     also a ``ValueError`` for backward compatibility).
+
+    A v2 store in this writer's exact layout is verified by hashing
+    the payload text as read, and only that text is parsed; any other
+    layout, and any hash mismatch, is parsed whole and its payload
+    re-encoded canonically to check the checksum.
     """
+    with gcpause.paused():
+        payload = _writer_layout_payload(text)
+        if payload is None:
+            payload = _checked_payload(text, source)
+        try:
+            return _payload_to_thicket(payload)
+        except (KeyError, IndexError, TypeError, ValueError) as e:
+            raise CorruptStoreError(
+                f"store payload is structurally invalid: "
+                f"{type(e).__name__}: {e}", source=source) from e
+
+
+def _checked_payload(text: str, source: Any) -> dict:
+    """The payload of any v2 or v1 document, its checksum verified by
+    re-encoding the parsed payload canonically."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -245,13 +292,7 @@ def thicket_from_json(text: str, source: Any = None):
         raise CorruptStoreError(
             f"not a repro thicket store (format={fmt!r}; expected "
             f"{FORMAT_V1!r} or {FORMAT_V2!r})", source=source, stage="load")
-
-    try:
-        return _payload_to_thicket(payload)
-    except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise CorruptStoreError(
-            f"store payload is structurally invalid: "
-            f"{type(e).__name__}: {e}", source=source) from e
+    return payload
 
 
 def save_thicket(tk, path: str | Path) -> Path:

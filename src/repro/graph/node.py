@@ -20,7 +20,7 @@ __all__ = ["Frame", "Node", "node_path"]
 class Frame:
     """Immutable attribute set identifying a call-tree node."""
 
-    __slots__ = ("attrs", "_key")
+    __slots__ = ("attrs", "_key", "_hash")
 
     def __init__(self, attrs: Mapping[str, Any] | None = None, **kwargs: Any):
         merged: dict[str, Any] = dict(attrs or {})
@@ -30,6 +30,7 @@ class Frame:
         merged.setdefault("type", "region")
         self.attrs = merged
         self._key = tuple(sorted(merged.items()))
+        self._hash = hash(self._key)
 
     @property
     def name(self) -> str:
@@ -48,7 +49,7 @@ class Frame:
         return self._key < other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Frame({self.attrs!r})"
@@ -108,13 +109,7 @@ class Node:
 
         yield from _walk(self)
 
-    # -- ordering / hashing ---------------------------------------------
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
+    # -- ordering (equality and hashing are object identity) ------------
     def __lt__(self, other: "Node") -> bool:
         return (self.frame.name, self._nid) < (other.frame.name, other._nid)
 

@@ -53,12 +53,14 @@ import os
 import random
 import time
 import warnings
+from collections.abc import Mapping
 from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
+from .. import gcpause
 from ..errors import (
     CompositionError,
     ProfileConflictError,
@@ -552,6 +554,9 @@ def load_ensemble(sources: Iterable[Any] | Any,
     guard: SignalGuard | None = None
     timings = report.stage_seconds
     with ExitStack() as stack:
+        # the whole read → compose pass builds long-lived graphs and
+        # frames; generation-2 collections would re-scan them for nothing
+        stack.enter_context(gcpause.paused())
         if checkpoint is not None:
             from .checkpoint import CheckpointJournal
 

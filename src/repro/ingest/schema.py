@@ -26,7 +26,8 @@ Checks, in order:
 from __future__ import annotations
 
 import numbers
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from ..errors import SchemaError
 

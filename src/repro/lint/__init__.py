@@ -5,11 +5,12 @@ A two-tier analyzer over one engine (:mod:`repro.lint.engine`):
 **Tier 1 — per-file rules**, one parse + one walk per file:
 
 * **Repo invariants** (:mod:`repro.lint.rules_repo`, ``RPR001``–
-  ``RPR008`` and ``RPR011``): the hardening discipline introduced by
-  earlier PRs — typed errors, atomic writes, injectable clocks,
-  deterministic serialization, documented public API, retries/pools
-  routed through ``repro.resilience``, static telemetry names,
-  outbound HTTP routed through ``repro.client`` — enforced
+  ``RPR008``, ``RPR011`` and ``RPR012``): the hardening discipline
+  introduced by earlier PRs — typed errors, atomic writes, injectable
+  clocks, deterministic serialization, documented public API,
+  retries/pools routed through ``repro.resilience``, static telemetry
+  names, outbound HTTP routed through ``repro.client``, the cyclic
+  collector switched only by ``repro.gcpause`` — enforced
   mechanically instead of by convention.
 * **Query literals** (:mod:`repro.lint.rules_query`, ``RPQ101``–
   ``RPQ102``): string/object-dialect call-path queries embedded as

@@ -18,6 +18,7 @@ RPR006  public API functions must carry docstrings
 RPR007  retries and pools route through ``repro.resilience``
 RPR008  telemetry names are static lowercase dotted string literals
 RPR011  outbound HTTP/socket calls route through ``repro.client``
+RPR012  the cyclic collector is switched only by ``repro.gcpause``
 ======  ==============================================================
 """
 
@@ -528,5 +529,50 @@ class OutboundHttpRule(Rule):
                    f"retry budgets, and idempotency keys apply")
 
 
+@register
+class GcControlRule(Rule):
+    rule_id = "RPR012"
+    severity = "error"
+    description = ("gc.disable/enable/freeze/unfreeze/set_threshold "
+                   "outside gcpause.py (gc.collect stays allowed)")
+    rationale = ("two hand-rolled pauses switch the collector back on "
+                 "under each other; repro.gcpause is one re-entrant, "
+                 "thread-safe pause that restores the collector only "
+                 "when the last holder leaves")
+
+    ALLOWED_MODULES = ("gcpause.py",)
+    _CONTROLS = {"disable", "enable", "freeze", "unfreeze",
+                 "set_threshold"}
+
+    def begin_file(self, ctx: FileContext) -> None:
+        self.gc_names = {"gc"}          # names bound to the gc module
+        self.control_names: set[str] = set()   # from gc import disable
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                self.gc_names |= {a.asname for a in node.names
+                                  if a.name == "gc" and a.asname}
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                self.control_names |= {a.asname or a.name
+                                       for a in node.names
+                                       if a.name in self._CONTROLS}
+
+    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
+        if ctx.module_matches(self.ALLOWED_MODULES):
+            return
+        func = node.func
+        if isinstance(func, ast.Name):
+            called = func.id if func.id in self.control_names else None
+        elif (isinstance(func, ast.Attribute)
+              and func.attr in self._CONTROLS
+              and _dotted(func.value) in self.gc_names):
+            called = f"gc.{func.attr}"
+        else:
+            called = None
+        if called is not None:
+            ctx.report(self, node,
+                       f"{called}() outside repro/gcpause.py; pause the "
+                       f"cyclic collector with gcpause.paused()")
+
+
 REPO_RULE_IDS = ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                 "RPR006", "RPR007", "RPR008", "RPR011"]
+                 "RPR006", "RPR007", "RPR008", "RPR011", "RPR012"]

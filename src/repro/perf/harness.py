@@ -23,6 +23,7 @@ import gc
 from pathlib import Path
 from typing import Any, Sequence
 
+from .. import gcpause
 from ..obs import Span, get_telemetry
 from ..obs import span as obs_span
 
@@ -132,13 +133,8 @@ def workload_roots(work_dir: "str | Path", repeats: int = 1,
 
 
 def _run_without_gc(work_dir: "str | Path", scale: float) -> None:
-    """One workload pass with the cyclic collector off (see
-    :func:`workload_roots`); the collector's prior state is restored."""
-    was_enabled = gc.isenabled()
+    """One workload pass after a full collection, with the cyclic
+    collector paused (see :func:`workload_roots`)."""
     gc.collect()
-    gc.disable()
-    try:
+    with gcpause.paused():
         run_campaign_workload(work_dir, scale=scale)
-    finally:
-        if was_enabled:
-            gc.enable()

@@ -16,8 +16,9 @@ missing/broken section and the source file, and undecodable JSON raises
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 

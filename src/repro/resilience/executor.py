@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Sequence
 
+from .. import gcpause
 from ..errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -129,8 +130,13 @@ def _worker_main(conn, fn: Callable[[Any], Any], heartbeat,
 
     A daemon thread refreshes *heartbeat* (a shared double holding
     ``time.monotonic()``) every *interval* seconds so the supervisor
-    can tell a busy worker from a wedged one.
+    can tell a busy worker from a wedged one.  The worker first freezes
+    the heap it inherited and switches the cyclic collector on
+    (:func:`repro.gcpause.start_worker`): its collections then skip the
+    parent's objects, and a worker forked during a parent pause still
+    frees the cycles of the graphs it builds.
     """
+    gcpause.start_worker()
     stop = threading.Event()
     _WORKER_STATE["in_worker"] = True
     _WORKER_STATE["stop_heartbeat"] = stop

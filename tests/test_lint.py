@@ -247,6 +247,55 @@ class TestWallClock:
         assert result.ok, format_text(result)
 
 
+class TestGcControl:
+    def test_gc_disable_flagged(self, tmp_path):
+        f = sole_finding(lint_source(tmp_path, """\
+            import gc
+
+            def bulk():
+                gc.disable()
+            """), "RPR012")
+        assert f.line == 4 and "gcpause" in f.message
+
+    @pytest.mark.parametrize("source", [
+        "import gc as collector\ncollector.freeze()\n",
+        "from gc import set_threshold\nset_threshold(10_000)\n",
+        "from gc import unfreeze as thaw\nthaw()\n",
+        "import gc\ngc.enable()\n",
+    ])
+    def test_other_switches_and_aliases_flagged(self, tmp_path, source):
+        sole_finding(lint_source(tmp_path, source), "RPR012")
+
+    def test_collect_and_queries_allowed(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import gc
+
+            def relieve():
+                if gc.isenabled():
+                    return gc.collect()
+                return gc.get_count()
+            """)
+        assert result.ok, format_text(result)
+
+    def test_guard_module_exempt(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import gc
+
+            def start_worker():
+                gc.freeze()
+                gc.enable()
+            """, rel="repro/gcpause.py")
+        assert result.ok, format_text(result)
+
+    def test_unrelated_disable_not_flagged(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            def stop(breaker, logging):
+                breaker.disable()
+                logging.disable()
+            """)
+        assert result.ok, format_text(result)
+
+
 class TestDeterminism:
     def test_dumps_without_sort_keys_flagged(self, tmp_path):
         f = sole_finding(lint_source(tmp_path, """\
